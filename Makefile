@@ -4,7 +4,7 @@
 .PHONY: all build test examples micro bench-engine bench-engine-smoke \
         bench-fwd bench-fwd-smoke bench-shard bench-shard-smoke fuzz-quick \
         fuzz-soak campaign-quick workload-smoke workload-bench arena \
-        arena-smoke check clean
+        arena-smoke check clean profile
 
 all: build
 
@@ -27,6 +27,14 @@ examples:
 # Telemetry/data-plane hot paths; the histogram record budget is 100 ns.
 micro:
 	dune exec bench/main.exe -- micro
+
+# Flat per-function profile of one workload (W = incast, allreduce or
+# short-flows; default incast) from a timer-signal PC sampler
+# (bench/prof_stubs.c), symbolized with nm; runs the library's own
+# runners.  It measures host time, so it is not part of `check`.
+W ?= incast
+profile:
+	dune exec bench/profile.exe -- $(W)
 
 # Engine/data-plane benchmark (DESIGN.md §10/§15): events/sec, minor
 # words/event, campaign wall-clock and the timing-wheel hit ratio vs

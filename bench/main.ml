@@ -286,18 +286,26 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Ecmp_hash.flow_hash ~src:11 ~dst:22 ~sport:3333 ~dport:4791)))
   in
-  let heap = Event_queue.create () in
-  let heap_counter = ref 0 in
-  let heap_test =
-    Test.make ~name:"event_queue: add+pop"
+  (* Steady state: 1024 pending events; each op schedules one at a
+     pseudo-random offset and takes and dispatches the earliest. *)
+  let eng = Engine.create () in
+  let eng_cb = Engine.register_callback eng (fun _ _ _ -> ()) in
+  let eng_counter = ref 0 in
+  let eng_add () =
+    incr eng_counter;
+    ignore
+      (Engine.schedule_call eng
+         ~delay:((!eng_counter * 2654435761) land 1023)
+         eng_cb ~a:0 ~b:0 ~obj:(Obj.repr ()))
+  in
+  for _ = 1 to 1024 do
+    eng_add ()
+  done;
+  let engine_test =
+    Test.make ~name:"engine: schedule_call + take/dispatch"
       (Staged.stage (fun () ->
-           incr heap_counter;
-           ignore
-             (Event_queue.add heap
-                ~time:(!heap_counter land 1023)
-                ~cb:0 ~a:0 ~b:0 ~obj:(Obj.repr ()));
-           if !heap_counter land 7 = 0 && not (Event_queue.is_empty heap)
-           then Event_queue.drop heap))
+           eng_add ();
+           Engine.run eng ~max_events:1))
   in
   let packet_test =
     Test.make ~name:"packet: data constructor"
@@ -335,7 +343,7 @@ let micro () =
   let tests =
     [
       spray_test; validate_test; ring_test; scan_test; pathmap_test; hash_test;
-      heap_test; packet_test; hist_test; counter_test; event_test;
+      engine_test; packet_test; hist_test; counter_test; event_test;
     ]
   in
   let ols =

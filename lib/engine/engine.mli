@@ -18,7 +18,7 @@ type t
 
 type handle = int
 (** A scheduled event.  Handles are generation-tagged ints from the
-    queue's slot freelist: [none] (and any handle whose event already
+    engine's event-slot freelist: [none] (and any handle whose event already
     fired or was dropped) never matches a live event, so storing [none]
     replaces the [handle option] idiom without allocating. *)
 
@@ -29,7 +29,8 @@ val none : handle
 val null_callback : callback
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] preallocates the event queue (default 256 events). *)
+(** [capacity] preallocates the event slots and the overflow heap
+    (default 256 events); both grow by doubling beyond that. *)
 
 val now : t -> Sim_time.t
 (** Current simulated time. *)
@@ -78,7 +79,37 @@ val pending : t -> int
     still in the queue). *)
 
 val sched_stats : t -> int * int
-(** [(wheel_adds, heap_adds)]: lifetime counts of events filed in the
-    timing wheel's dense band vs. the overflow heap (DESIGN.md §15).
-    bench-engine asserts the wheel hit ratio stays above 90% on incast. *)
+(** [(wheel_adds, heap_adds)]: lifetime counts of scheduled events filed
+    in the timing wheel vs. the overflow heap (DESIGN.md §15).  Events
+    that later migrate from the heap into the wheel count once, as heap
+    adds.  bench-engine asserts the wheel hit ratio stays above 90% on
+    incast. *)
+
+(** {2 Test-only access}
+
+    Direct access to the event store under the engine, for unit tests of
+    its ordering and slot recycling.  Simulation code must not use it:
+    [add] skips the past-time guard and [pop] does not move the clock. *)
+module For_tests : sig
+  val add : t -> time:Sim_time.t -> int -> handle
+  (** File an event at any [time] — behind the clock or the wheel cursor
+      included — carrying the value in its [a] payload.  If the engine
+      runs it, it does nothing. *)
+
+  val pop : t -> (Sim_time.t * int) option
+  (** Remove the next live event and return its time and value;
+      cancelled events on the way are removed and skipped. *)
+
+  val peek_time : t -> Sim_time.t option
+  (** Time of the next queued event, cancelled or not. *)
+
+  val clear : t -> unit
+  (** Remove every queued event, recycling all slots. *)
+
+  val cursor : t -> int
+  (** The wheel cursor: adds below it go to the overflow heap. *)
+
+  val heap_capacity : t -> int
+  (** Current overflow-heap capacity in events. *)
+end
 

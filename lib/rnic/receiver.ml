@@ -28,6 +28,9 @@ type t = {
   mutable ooo_arrivals : int;
   mutable nacks_sent : int;
   mutable acks_sent : int;
+  (* Per-packet telemetry counters, resolved once per context. *)
+  tm_nacks : Telemetry.counter_handle;
+  tm_dups : Telemetry.counter_handle;
 }
 
 let create ~mode ~ack_coalesce ~actions =
@@ -48,6 +51,8 @@ let create ~mode ~ack_coalesce ~actions =
     ooo_arrivals = 0;
     nacks_sent = 0;
     acks_sent = 0;
+    tm_nacks = Telemetry.counter_handle "nacks_generated";
+    tm_dups = Telemetry.counter_handle "duplicate_packets";
   }
 
 let ooo_mem t seq =
@@ -102,7 +107,7 @@ let send_nack_once t =
   if not t.nacked_current then begin
     t.nacked_current <- true;
     t.nacks_sent <- t.nacks_sent + 1;
-    if Telemetry.enabled () then Telemetry.incr_counter "nacks_generated";
+    Telemetry.incr_handle t.tm_nacks;
     t.actions.send_nack ~epsn:t.epsn
   end
 
@@ -136,7 +141,7 @@ let on_data t ~seq ~payload ~last_of_msg =
     (* Duplicate of an already-delivered sequence: re-ACK so a sender whose
        ACKs were lost can advance. *)
     t.dups <- t.dups + 1;
-    if Telemetry.enabled () then Telemetry.incr_counter "duplicate_packets";
+    Telemetry.incr_handle t.tm_dups;
     flush_ack t
   end
   else begin

@@ -54,6 +54,7 @@ type t = {
   mutable nacks_sent : int;
   mutable cnps_sent : int;
   mutable data_rx : int;
+  tm_cnps : Telemetry.counter_handle;
 }
 
 type qp = { nic : t; snd : Sender.t }
@@ -73,6 +74,7 @@ let create ~engine ~node ~config =
     nacks_sent = 0;
     cnps_sent = 0;
     data_rx = 0;
+    tm_cnps = Telemetry.counter_handle "cnps_sent";
   }
 
 (* Slot arrays sized to the largest registered id; ids are dense per
@@ -161,7 +163,7 @@ let maybe_cnp t (ctx : rctx) =
     ctx.last_cnp <- now;
     ctx.cnps_tx <- ctx.cnps_tx + 1;
     t.cnps_sent <- t.cnps_sent + 1;
-    if Telemetry.enabled () then Telemetry.incr_counter "cnps_sent";
+    Telemetry.incr_handle t.tm_cnps;
     transmit_control t
       (Packet_pool.cnp ~conn:ctx.r_conn ~conn_id:ctx.r_conn_id
          ~sport:ctx.r_sport ~birth:now)
@@ -194,12 +196,10 @@ let on_data_packet t (pkt : Packet.t) psn payload last_of_msg =
   let seq = Psn.unwrap ~near:(Receiver.epsn ctx.recv) psn in
   Receiver.on_data ctx.recv ~seq ~payload ~last_of_msg
 
-let on_sender_packet t (pkt : Packet.t) f =
+let sender_of t (pkt : Packet.t) =
   let id = pkt.Packet.conn_id in
-  if id < Array.length t.senders_by_id then
-    match Array.unsafe_get t.senders_by_id id with
-    | Some snd -> f snd
-    | None -> ()
+  if id < Array.length t.senders_by_id then Array.unsafe_get t.senders_by_id id
+  else None
 
 (* The RNIC is the end of a delivered packet's life: every field needed
    is read during dispatch, and no component downstream retains the
@@ -210,10 +210,12 @@ let receive t (pkt : Packet.t) =
   | Packet.Data { psn; payload; last_of_msg } ->
       t.data_rx <- t.data_rx + 1;
       on_data_packet t pkt psn payload last_of_msg
-  | Packet.Ack { psn } -> on_sender_packet t pkt (fun s -> Sender.on_ack s psn)
-  | Packet.Nack { epsn } ->
-      on_sender_packet t pkt (fun s -> Sender.on_nack s epsn)
-  | Packet.Cnp -> on_sender_packet t pkt Sender.on_cnp
+  | Packet.Ack { psn } -> (
+      match sender_of t pkt with Some s -> Sender.on_ack s psn | None -> ())
+  | Packet.Nack { epsn } -> (
+      match sender_of t pkt with Some s -> Sender.on_nack s epsn | None -> ())
+  | Packet.Cnp -> (
+      match sender_of t pkt with Some s -> Sender.on_cnp s | None -> ())
   | Packet.Pause _ -> ());
   Packet_pool.release pkt
 

@@ -49,6 +49,9 @@ type t = {
   mutable cnps_rx : int;
   mutable timeouts : int;
   mutable bytes_completed : int;
+  (* Per-packet telemetry counters, resolved once per context. *)
+  tm_data_sent : Telemetry.counter_handle;
+  tm_retx : Telemetry.counter_handle;
 }
 
 let conn t = t.conn
@@ -172,9 +175,9 @@ and try_send t =
         t.data_sent <- t.data_sent + 1;
         if is_retx then t.retx_sent <- t.retx_sent + 1;
         if Telemetry.enabled () then begin
-          Telemetry.incr_counter "data_packets_sent";
+          Telemetry.incr_handle t.tm_data_sent;
           if is_retx then begin
-            Telemetry.incr_counter "retx_packets";
+            Telemetry.incr_handle t.tm_retx;
             Telemetry.record ~time:(Engine.now t.engine)
               (Event.Retransmission { conn = t.conn; psn = seq })
           end
@@ -234,6 +237,8 @@ let create ~engine ~conn ~sport ~config ~line_rate ~transmit =
     cnps_rx = 0;
     timeouts = 0;
     bytes_completed = 0;
+    tm_data_sent = Telemetry.counter_handle "data_packets_sent";
+    tm_retx = Telemetry.counter_handle "retx_packets";
   }
   in
   t.cb_pace <-

@@ -65,12 +65,11 @@ type t = {
   (* Closure-free fwd-delay events; the packet rides the obj slot. *)
   mutable cb_process : Engine.callback;
   mutable cb_forward : Engine.callback;
-  (* Drop-counter handle resolved once per telemetry context, plus the
-     preformatted drop location, instead of per-drop rebuilds. *)
+  (* Preformatted drop location and per-instance counter handles,
+     instead of per-packet rebuilds and registry lookups. *)
   drop_loc : string;
-  drop_labels : Metrics.labels;
-  mutable drop_registry : Metrics.t option;
-  mutable drop_counter : Metrics.counter option;
+  drop_counter : Telemetry.counter_handle;
+  ecn_counter : Telemetry.counter_handle;
 }
 
 let node_id t = t.node
@@ -83,22 +82,10 @@ let config t = t.cfg
 let slow_path_probes = Domain.DLS.new_key (fun () -> ref 0)
 let forward_hash_probes () = !(Domain.DLS.get slow_path_probes)
 
-let resolve_drop_counter t m =
-  let c = Metrics.counter m ~labels:t.drop_labels "switch_dropped_packets" in
-  t.drop_registry <- Some m;
-  t.drop_counter <- Some c;
-  c
-
 let record_drop t (pkt : Packet.t) reason =
   if Packet.is_data pkt then t.dropped_data <- t.dropped_data + 1;
   if Telemetry.enabled () then begin
-    let m = Telemetry.metrics_exn () in
-    let counter =
-      match (t.drop_counter, t.drop_registry) with
-      | Some c, Some r when r == m -> c
-      | _ -> resolve_drop_counter t m
-    in
-    Metrics.incr counter;
+    Telemetry.incr_handle t.drop_counter;
     Telemetry.record ~time:(Engine.now t.engine)
       (Event.Packet_drop
          {
@@ -236,7 +223,7 @@ let enqueue_on t port (pkt : Packet.t) =
           pkt.Packet.ecn <- Headers.Ce;
           t.ecn_marked <- t.ecn_marked + 1;
           if Telemetry.enabled () then begin
-            Telemetry.incr_counter "ecn_marks";
+            Telemetry.incr_handle t.ecn_counter;
             Telemetry.record ~time:(Engine.now t.engine)
               (Event.Ecn_mark
                  {
@@ -389,9 +376,11 @@ let create ~engine ~topo ~routing ~node ~config ~rng =
     cb_process = Engine.null_callback;
     cb_forward = Engine.null_callback;
     drop_loc = Printf.sprintf "sw%d" node;
-    drop_labels = [ ("node", string_of_int node) ];
-    drop_registry = None;
-    drop_counter = None;
+    drop_counter =
+      Telemetry.counter_handle
+        ~labels:[ ("node", string_of_int node) ]
+        "switch_dropped_packets";
+    ecn_counter = Telemetry.counter_handle "ecn_marks";
   }
   in
   t.load_fn <- (fun i -> Port.queue_bytes t.load_ports.(i));
@@ -399,8 +388,7 @@ let create ~engine ~topo ~routing ~node ~config ~rng =
     Engine.register_callback engine (fun _ _ obj -> process t (Obj.obj obj));
   t.cb_forward <-
     Engine.register_callback engine (fun _ _ obj -> forward t (Obj.obj obj));
-  (if Telemetry.enabled () then
-     ignore (resolve_drop_counter t (Telemetry.metrics_exn ())));
+  Telemetry.register_handle t.drop_counter;
   t
 
 let receive t pkt =

@@ -96,6 +96,38 @@ let merge ctxs =
   List.iter (fun ev -> Ring.push merged.events ev) all_events;
   merged
 
+(* --- Per-instance counter handles -------------------------------------
+
+   Resolved once per context: [cache] remembers the registry the counter
+   came from, so a fresh context (each campaign job installs one) is
+   detected by a physical compare and re-resolved. *)
+
+type counter_handle = {
+  name : string;
+  labels : Metrics.labels;
+  mutable cache : (Metrics.t * Metrics.counter) option;
+}
+
+let counter_handle ?(labels = []) name = { name; labels; cache = None }
+
+let resolve h m =
+  let c = Metrics.counter m ~labels:h.labels h.name in
+  h.cache <- Some (m, c);
+  c
+
+let incr_handle h =
+  match (Domain.DLS.get slot_key).cur with
+  | None -> ()
+  | Some ctx -> (
+      match h.cache with
+      | Some (m, c) when m == ctx.metrics -> Metrics.incr c
+      | _ -> Metrics.incr (resolve h ctx.metrics))
+
+let register_handle h =
+  match (Domain.DLS.get slot_key).cur with
+  | None -> ()
+  | Some ctx -> ignore (resolve h ctx.metrics)
+
 (* --- Registry conveniences (lookup per call; fine off hot paths) ----- *)
 
 let incr_counter ?labels name =

@@ -51,6 +51,27 @@ val events_by_kind : t -> (string * int) list
 val event_count : t -> int -> int
 (** By [Event.kind_index]. *)
 
+(** {2 Per-instance counter handles}
+
+    For hot paths: a component keeps one handle per counter per instance
+    and increments through it.  The handle resolves the registry entry
+    on first use in each telemetry context, so steady-state increments
+    neither hash nor allocate.  Keep handles per instance, never in a
+    module global: shards run in separate domains, each with its own
+    context. *)
+
+type counter_handle
+
+val counter_handle : ?labels:Metrics.labels -> string -> counter_handle
+
+val incr_handle : counter_handle -> unit
+(** [incr_counter] through the handle; no-op when telemetry is
+    disabled. *)
+
+val register_handle : counter_handle -> unit
+(** Create the counter (at 0) in the current context now, so exports
+    list it even if it is never incremented; no-op when disabled. *)
+
 (** {2 By-name registry updates}
 
     Convenience wrappers that look the metric up on every call — use on

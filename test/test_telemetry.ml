@@ -128,6 +128,34 @@ let test_registry () =
      Alcotest.fail "type mismatch accepted"
    with Invalid_argument _ -> ())
 
+let test_counter_handle () =
+  (* A handle follows the current context: it resolves in each fresh
+     context, counts nothing while disabled, and [register_handle]
+     exports the counter at zero. *)
+  let h = Telemetry.counter_handle ~labels:[ ("port", "p0") ] "drops" in
+  Telemetry.disable ();
+  Telemetry.incr_handle h;
+  Telemetry.register_handle h;
+  let c1 = Telemetry.enable () in
+  Telemetry.register_handle h;
+  let m1 = Telemetry.metrics_exn () in
+  Alcotest.(check int) "registered at zero" 1 (Metrics.cardinality m1);
+  Telemetry.incr_handle h;
+  Telemetry.incr_handle h;
+  Telemetry.incr_counter ~labels:[ ("port", "p0") ] "drops";
+  Alcotest.(check int) "same counter as by-name" 3
+    (Metrics.counter_value m1 ~labels:[ ("port", "p0") ] "drops");
+  ignore (Telemetry.enable ());
+  Telemetry.incr_handle h;
+  Alcotest.(check int) "fresh context" 1
+    (Metrics.counter_value (Telemetry.metrics_exn ()) ~labels:[ ("port", "p0") ]
+       "drops");
+  Telemetry.use c1;
+  Telemetry.incr_handle h;
+  Alcotest.(check int) "back to the first context" 4
+    (Metrics.counter_value m1 ~labels:[ ("port", "p0") ] "drops");
+  Telemetry.disable ()
+
 (* ---------------- Events through the global context ---------------- *)
 
 let test_event_sink () =
@@ -231,7 +259,11 @@ let () =
         ] );
       ( "ring",
         [ Alcotest.test_case "drop oldest" `Quick test_ring_drop_oldest ] );
-      ( "registry", [ Alcotest.test_case "registry" `Quick test_registry ] );
+      ( "registry",
+        [
+          Alcotest.test_case "registry" `Quick test_registry;
+          Alcotest.test_case "counter handle" `Quick test_counter_handle;
+        ] );
       ( "events", [ Alcotest.test_case "bounded sink" `Quick test_event_sink ] );
       ( "agreement",
         [
