@@ -2,7 +2,7 @@
 # on every commit.
 
 .PHONY: all build test examples micro bench-engine bench-engine-smoke \
-        bench-fwd bench-fwd-smoke bench-shard bench-shard-smoke fuzz-quick \
+        bench-fwd bench-fwd-smoke fuzz-quick \
         fuzz-soak campaign-quick workload-smoke workload-bench arena \
         arena-smoke check clean profile
 
@@ -58,18 +58,6 @@ bench-fwd:
 bench-fwd-smoke:
 	dune exec bench/engine_bench.exe -- --fwd-only --smoke --out _build/BENCH_fwd.smoke.json
 
-# Sharded-simulation benchmark (DESIGN.md §14): one permutation sweep
-# serial, then across 1/2/4 domains, asserting outcome identity at each
-# count and recording events/s per domain count in BENCH_engine.json.
-# Note the events/s scaling is only meaningful on a multicore box.
-bench-shard:
-	dune exec bench/shard_bench.exe
-
-# CI variant: small fabric, 2 domains, asserts serial == sharded on
-# every oracle-visible result (summary, canonical events, metrics).
-bench-shard-smoke:
-	dune exec bench/shard_bench.exe -- --smoke
-
 # Randomized fault-injection sweep with invariant oracles (DESIGN.md §8).
 # 200 scenarios x every scheme normally finishes in ~2 s; the wall budget
 # stops generating new scenarios if a slow machine would blow the CI
@@ -123,7 +111,7 @@ workload-smoke:
 workload-bench:
 	dune exec bench/workload_bench.exe -- --out BENCH_workload.json
 
-check: build test examples micro bench-engine-smoke bench-fwd-smoke bench-shard-smoke fuzz-quick campaign-quick workload-smoke arena-smoke
+check: build test examples micro bench-engine-smoke bench-fwd-smoke fuzz-quick campaign-quick workload-smoke arena-smoke
 	@echo "check: OK"
 
 clean:

@@ -246,10 +246,10 @@ type numbers = {
   fwd_wpp : float;
 }
 
-(* Measured at commit 631052b — the dense-forwarding tree of PR 8
-   (compiled route cache, pooled packets, sharded interlinks), before
-   the hierarchical timing wheel — with this same harness on the machine
-   class that runs `make check`; regenerate via EXPERIMENTS.md §
+(* Measured at commit 631052b — the dense-forwarding tree (compiled
+   route cache, pooled packets), before the hierarchical timing wheel —
+   with this same harness on the machine class that runs `make check`;
+   regenerate via EXPERIMENTS.md §
    "Engine benchmark" after intentional model changes. *)
 let baseline : numbers option =
   Some
@@ -430,7 +430,7 @@ let () =
     let mill = bench_mill ~events:(if !smoke then 20_000 else 4_000_000) ~reps in
     (* The incast preset runs single-shot in both modes: its event count
        is the pinned trace-identity fingerprint, and a repeat would
-       advance the domain-local flow interner and shift every conn id. *)
+       advance the global flow interner and shift every conn id. *)
     let ((incast_s, wheel, heap, hit) as incast) =
       if !smoke then
         bench_incast ~schemes:[ "ecmp" ] ~fanin:2 ~bytes:50_000 ~seed:3

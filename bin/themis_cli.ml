@@ -37,6 +37,12 @@ let motivation_cmd =
              telemetry_metrics.csv and telemetry_events.jsonl.")
   in
   let run msg_mb series seed csv_dir telemetry =
+    (* Fail before simulating, not when the first CSV is written. *)
+    (match csv_dir with
+    | Some dir when not (Sys.file_exists dir && Sys.is_directory dir) ->
+        Format.eprintf "motivation: --csv-dir %s: no such directory@." dir;
+        exit 2
+    | Some _ | None -> ());
     let bytes_ = int_of_float (msg_mb *. 1e6) in
     let run_one ?(telemetry = false) transport =
       Experiment.run_motivation

@@ -66,8 +66,9 @@ type t = {
   mutable epoch_base : int;  (* cursor's epoch start *)
   mutable wheel_count : int;
   (* Overflow min-heap over (time, seq), structure-of-arrays: times
-     beyond the cursor's epoch, and times behind the cursor (a sharded
-     run's window drains), which are served straight from the heap. *)
+     beyond the cursor's epoch, and times behind the cursor (adds made
+     after [run ~until] stopped short of the next wheel event), which
+     are served straight from the heap. *)
   mutable times : int array;
   mutable seqs : int array;
   mutable slots : int array;

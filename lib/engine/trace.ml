@@ -2,37 +2,31 @@ type sink = Silent | Print | Retain
 
 let default_capacity = 1 lsl 16
 
-(* Domain-local: each simulation shard owns its own sink and ring, so
-   tracing from parallel domains never races (and a spawned shard starts
-   Silent regardless of what the main domain configured). *)
 type state = {
   mutable sink : sink;
   mutable events : (Sim_time.t * string * string) Ring.t;
 }
 
-let key =
-  Domain.DLS.new_key (fun () ->
-      { sink = Silent; events = Ring.create ~capacity:default_capacity })
+let st = { sink = Silent; events = Ring.create ~capacity:default_capacity }
 
-let set_sink s = (Domain.DLS.get key).sink <- s
-let sink () = (Domain.DLS.get key).sink
-let enabled () = (Domain.DLS.get key).sink <> Silent
+let set_sink s = st.sink <- s
+let sink () = st.sink
+let enabled () = st.sink <> Silent
 
-let set_capacity n = (Domain.DLS.get key).events <- Ring.create ~capacity:n
-let capacity () = Ring.capacity (Domain.DLS.get key).events
-let dropped () = Ring.dropped (Domain.DLS.get key).events
+let set_capacity n = st.events <- Ring.create ~capacity:n
+let capacity () = Ring.capacity st.events
+let dropped () = Ring.dropped st.events
 
 let emit ~time ~cat msg =
-  let st = Domain.DLS.get key in
   match st.sink with
   | Silent -> ()
   | Print -> Format.printf "[%a] %-10s %s@." Sim_time.pp time cat msg
   | Retain -> Ring.push st.events (time, cat, msg)
 
 let emitf ~time ~cat fmt =
-  if (Domain.DLS.get key).sink = Silent then
+  if st.sink = Silent then
     Format.ifprintf Format.std_formatter fmt
   else Format.kasprintf (fun msg -> emit ~time ~cat msg) fmt
 
-let retained () = Ring.to_list (Domain.DLS.get key).events
-let clear () = Ring.clear (Domain.DLS.get key).events
+let retained () = Ring.to_list st.events
+let clear () = Ring.clear st.events

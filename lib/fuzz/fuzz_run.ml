@@ -133,13 +133,8 @@ let validate (spec : Fuzz_spec.t) =
                                lf.Fuzz_spec.fault_link)))
         spec.Fuzz_spec.link_faults
 
-(* One source of truth for the leaf-spine build: the sharded runner
-   (Shard_run) constructs its per-domain replicas from exactly these
-   params, so serial and sharded fabrics are byte-identical. *)
-let ls_network_params (spec : Fuzz_spec.t) ~scheme =
+let build (spec : Fuzz_spec.t) ~scheme =
   match spec.Fuzz_spec.shape with
-  | Fuzz_spec.Ft _ ->
-      raise (Bad_spec "ls_network_params: leaf-spine shapes only")
   | Fuzz_spec.Ls
       { n_leaves; n_spines; hosts_per_leaf; host_gbps; fabric_gbps;
         link_delay_ns } ->
@@ -160,21 +155,19 @@ let ls_network_params (spec : Fuzz_spec.t) ~scheme =
           Rnic.transport = (if spec.Fuzz_spec.gbn then `Gbn else `Sr);
         }
       in
-      {
-        p0 with
-        Network.nic = nic_cfg;
-        per_port_cap = spec.Fuzz_spec.per_port_kb * 1024;
-        queue_factor = float_of_int spec.Fuzz_spec.queue_factor_pct /. 100.;
-        last_hop_jitter = spec.Fuzz_spec.jitter_ns;
-        seed = spec.Fuzz_spec.seed;
-        telemetry = true;
-        telemetry_interval = Sim_time.us 200;
-      }
-
-let build (spec : Fuzz_spec.t) ~scheme =
-  match spec.Fuzz_spec.shape with
-  | Fuzz_spec.Ls _ ->
-      let n = Network.build (ls_network_params spec ~scheme) in
+      let n =
+        Network.build
+          {
+            p0 with
+            Network.nic = nic_cfg;
+            per_port_cap = spec.Fuzz_spec.per_port_kb * 1024;
+            queue_factor = float_of_int spec.Fuzz_spec.queue_factor_pct /. 100.;
+            last_hop_jitter = spec.Fuzz_spec.jitter_ns;
+            seed = spec.Fuzz_spec.seed;
+            telemetry = true;
+            telemetry_interval = Sim_time.us 200;
+          }
+      in
       (match spec.Fuzz_spec.slow_spine with
       | None -> ()
       | Some (spine, gbps) -> Network.set_spine_rate n ~spine ~gbps);

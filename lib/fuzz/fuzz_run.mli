@@ -33,17 +33,6 @@ exception Bad_spec of string
 (** The spec references hosts or links the shape does not have (only
     reachable through hand-written replay strings). *)
 
-val validate : Fuzz_spec.t -> unit
-(** Raise {!Bad_spec} when the spec references hosts or links its shape
-    does not have.  [run_scheme] calls this itself; exposed so the
-    sharded runner ({!Shard_run}) applies identical checks. *)
-
-val ls_network_params : Fuzz_spec.t -> scheme:string -> Network.params
-(** The exact {!Network.params} a leaf-spine run builds — the sharded
-    runner constructs its per-domain replicas from these, so serial and
-    sharded fabrics are byte-identical.  Raises {!Bad_spec} on fat-tree
-    shapes or unknown schemes. *)
-
 val scheme_names : string list
 (** Accepted [o_scheme] values: {!Fuzz_spec.all_schemes} plus the
     ablation schemes ["psn-spray"] and ["themis-nocomp"] and the arena

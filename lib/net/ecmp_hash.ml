@@ -40,8 +40,7 @@ let flow_hash ~src ~dst ~sport ~dport =
    against the full (src, dst, sport, dport) tuple before use, so it is
    pure memoization: stale entries (sport rewrites, interner resets
    between runs) miss the validation and are recomputed in place.  No
-   reset hook is needed for correctness.  Domain-local because interned
-   flow ids are themselves per-domain (see Flow_id). *)
+   reset hook is needed for correctness. *)
 type memo = {
   mutable m_src : int array;
   mutable m_dst : int array;
@@ -50,15 +49,14 @@ type memo = {
   mutable m_hash : int array;
 }
 
-let memo_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        m_src = Array.make 64 (-1);
-        m_dst = Array.make 64 0;
-        m_sport = Array.make 64 0;
-        m_dport = Array.make 64 0;
-        m_hash = Array.make 64 0;
-      })
+let memo =
+  {
+    m_src = Array.make 64 (-1);
+    m_dst = Array.make 64 0;
+    m_sport = Array.make 64 0;
+    m_dport = Array.make 64 0;
+    m_hash = Array.make 64 0;
+  }
 
 let memo_grow m id =
   let len = Array.length m.m_src in
@@ -77,21 +75,20 @@ let memo_grow m id =
 let flow_hash_id ~id ~src ~dst ~sport ~dport =
   if id < 0 then flow_hash ~src ~dst ~sport ~dport
   else begin
-    let m = Domain.DLS.get memo_key in
-    if id >= Array.length m.m_src then memo_grow m id;
+    if id >= Array.length memo.m_src then memo_grow memo id;
     if
-      Array.unsafe_get m.m_src id = src
-      && Array.unsafe_get m.m_dst id = dst
-      && Array.unsafe_get m.m_sport id = sport
-      && Array.unsafe_get m.m_dport id = dport
-    then Array.unsafe_get m.m_hash id
+      Array.unsafe_get memo.m_src id = src
+      && Array.unsafe_get memo.m_dst id = dst
+      && Array.unsafe_get memo.m_sport id = sport
+      && Array.unsafe_get memo.m_dport id = dport
+    then Array.unsafe_get memo.m_hash id
     else begin
       let h = flow_hash ~src ~dst ~sport ~dport in
-      Array.unsafe_set m.m_src id src;
-      Array.unsafe_set m.m_dst id dst;
-      Array.unsafe_set m.m_sport id sport;
-      Array.unsafe_set m.m_dport id dport;
-      Array.unsafe_set m.m_hash id h;
+      Array.unsafe_set memo.m_src id src;
+      Array.unsafe_set memo.m_dst id dst;
+      Array.unsafe_set memo.m_sport id sport;
+      Array.unsafe_set memo.m_dport id dport;
+      Array.unsafe_set memo.m_hash id h;
       h
     end
   end

@@ -19,13 +19,6 @@ type t = {
   mutable dropped_data : int;
   mutable inject_drops : int;
   mutable jitter : (Rng.t * Sim_time.t) option;
-  (* Interlink lowering: when set, a serialized packet is handed to this
-     hook at tx-done time — with its full propagation delay, jitter
-     included — instead of being scheduled for local propagation; the
-     hook flattens it onto a ring and the consuming shard replays the
-     propagation (including the in-flight link-down drop check, via
-     [receive_remote]) on its replica of this port. *)
-  mutable interlink : (delay:Sim_time.t -> Packet.t -> unit) option;
   (* Closure-free events: one registered tx-completion/propagation
      callback pair per port; the packet rides the event's obj slot. *)
   mutable cb_tx_done : Engine.callback;
@@ -69,7 +62,6 @@ let set_deliver t f = t.deliver <- f
 let set_jitter t ~rng ~max = t.jitter <- Some (rng, max)
 let has_jitter t = t.jitter <> None
 
-let set_interlink t f = t.interlink <- Some f
 let set_on_dequeue t f = t.on_dequeue <- f
 let set_on_discard t f = t.on_discard <- f
 
@@ -111,20 +103,14 @@ and tx_done t (pkt : Packet.t) =
   t.tx_packets <- t.tx_packets + 1;
   t.tx_bytes <- t.tx_bytes + pkt.Packet.size;
   if t.up then begin
-    (* The jitter draw stays here either way: it consumes this port's
-       private RNG in serialization order, so serial and interlinked
-       executions see identical draws. *)
     let extra =
       match t.jitter with
       | Some (rng, max) when max > 0 -> Rng.int rng (max + 1)
       | Some _ | None -> 0
     in
-    match t.interlink with
-    | Some push -> push ~delay:(t.delay + extra) pkt
-    | None ->
-        ignore
-          (Engine.schedule_call t.engine ~delay:(t.delay + extra) t.cb_propagate
-             ~a:0 ~b:0 ~obj:(Obj.repr pkt))
+    ignore
+      (Engine.schedule_call t.engine ~delay:(t.delay + extra) t.cb_propagate
+         ~a:0 ~b:0 ~obj:(Obj.repr pkt))
   end
   else begin
     record_drop t pkt Event.Link_down;
@@ -165,7 +151,6 @@ let create ~engine ~bandwidth ~delay ~label =
       dropped_data = 0;
       inject_drops = 0;
       jitter = None;
-      interlink = None;
       cb_tx_done = Engine.null_callback;
       cb_propagate = Engine.null_callback;
       tx_b0 = -1;
@@ -252,11 +237,3 @@ let set_bandwidth t r =
 
 let label t = t.label
 let deliver_fn t = t.deliver
-let delay t = t.delay
-
-(* Replica-side entry for a packet that crossed a shard boundary: runs
-   exactly the serial propagation body — the link may have gone down
-   while the packet was on the wire, in which case the drop is booked
-   here, on the replica of the transmitting port, just as the serial
-   engine books it on the port itself. *)
-let receive_remote t pkt = propagate t pkt

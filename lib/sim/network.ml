@@ -79,15 +79,6 @@ type t = {
   mutable themis_ss : Themis_s.t list;
   mutable themis_active : bool;
   sampler : Sampler.t option;
-  owned : int -> bool;
-      (* Shard-replica builds: which node ids this instance drives.
-         Affects only observers (sampler probes); the simulated objects
-         themselves are always all built so replica state stays
-         byte-identical across shards. *)
-  mutable quiet_control : bool;
-      (* Replica shards apply control events (fail_link etc.) without
-         recording telemetry for them, so the fleet logs each exactly
-         once. *)
 }
 
 let lb_of_scheme = function
@@ -114,7 +105,7 @@ let last_hop_rtt (p : params) =
   + Rate.tx_time bw ~bytes_:mtu_wire
   + Rate.tx_time bw ~bytes_:Headers.ack_bytes
 
-let build ?(owned = fun (_ : int) -> true) (params : params) =
+let build (params : params) =
   let engine = Engine.create () in
   if params.telemetry then ignore (Telemetry.enable ());
   let fabric = Leaf_spine.build params.fabric in
@@ -168,8 +159,6 @@ let build ?(owned = fun (_ : int) -> true) (params : params) =
         (if params.telemetry then
            Some (Sampler.create ~engine ~interval:params.telemetry_interval)
          else None);
-      owned;
-      quiet_control = false;
     }
   in
   (* Themis middleware on every ToR. *)
@@ -266,26 +255,19 @@ let build ?(owned = fun (_ : int) -> true) (params : params) =
         match Hashtbl.find_opt link_ports link_id with
         | None -> ()
         | Some (pab, pba) ->
-            (* A port belongs to the shard that owns its transmitting
-               node; replica builds probe only their own ports, so each
-               port is sampled exactly once fleet-wide. *)
-            let link = Topology.link topo link_id in
             List.iter
-              (fun (src, p) ->
-                if owned src then
-                  Sampler.add_probe s ~name:"port_queue_bytes"
-                    ~labels:[ ("port", Port.label p) ]
-                    ~histogram:"port_queue_bytes_dist" (fun () ->
-                      float_of_int (Port.queue_bytes p)))
-              [ (link.Topology.a, pab); (link.Topology.b, pba) ]
+              (fun p ->
+                Sampler.add_probe s ~name:"port_queue_bytes"
+                  ~labels:[ ("port", Port.label p) ]
+                  ~histogram:"port_queue_bytes_dist" (fun () ->
+                    float_of_int (Port.queue_bytes p)))
+              [ pab; pba ]
       done;
       Sampler.start s);
   t
 
 let engine t = t.engine
 let params t = t.params
-let owned t node = t.owned node
-let set_quiet_control t q = t.quiet_control <- q
 
 let link_ports_pair t ~link_id = Hashtbl.find_opt t.link_ports link_id
 let sampler t = t.sampler
@@ -327,7 +309,6 @@ let connect t ~src ~dst =
   | None -> ());
   (match t.sampler with
   | None -> ()
-  | Some s when not (t.owned src) -> ignore s
   | Some s ->
       let sender = Rnic.qp_sender qp in
       let mtu = t.params.nic.Rnic.mtu in
@@ -360,7 +341,7 @@ let live_spine_count t =
 
 let fail_link ?(mode = `Fallback_ecmp) t ~link_id =
   Topology.set_link_up t.fabric.Leaf_spine.topo ~link_id false;
-  if (not t.quiet_control) && Telemetry.enabled () then begin
+  if Telemetry.enabled () then begin
     Telemetry.incr_counter "link_failures";
     Telemetry.record ~time:(Engine.now t.engine)
       (Event.Link_failure { link_id })

@@ -1,9 +1,9 @@
 (* The engine's event core (DESIGN.md §15): the slot arena and overflow
    heap ("heap"), the two-level timing wheel and a qcheck model of the
-   whole store against a sorted-list oracle ("wheel"), and windowed runs
-   through Shard.advance ("shard").  Raw store operations go through
-   [Engine.For_tests]; ordering across cascades and windows also through
-   the public scheduling API. *)
+   whole store against a sorted-list oracle ("wheel"), and runs cut into
+   [run ~until] windows with arrivals filed between them ("runs").  Raw
+   store operations go through [Engine.For_tests]; ordering across
+   cascades and windows also through the public scheduling API. *)
 
 module Core = Engine.For_tests
 
@@ -366,11 +366,11 @@ let prop_wheel_model =
        150)
     model_holds
 
-(* ---------------- serial == windowed (Shard.advance) ------------------ *)
+(* ---------------- serial == windowed ------------------------------------ *)
 
 (* One engine advanced (a) in a single [run ~until:horizon] and (b) in
-   Shard.advance lockstep windows with external arrivals injected at the
-   barriers, the way interlink drains feed a shard.  Timer events land
+   fixed windows with external arrivals filed at each barrier between
+   two [run ~until] calls.  Timer events land
    on even ticks and externals on odd ticks, so the merged (time) order
    is unique and the fire logs must be identical — even though the
    windowed run schedules externals mid-flight (behind-cursor heap adds
@@ -420,12 +420,13 @@ let run_serial () =
 (* Runs [eng] to [until_] in lookahead windows, calling [drain ~upto] at
    every barrier. *)
 let advance eng ~lookahead ~drain ~until_ =
-  let barrier = Domain_barrier.create 1 in
-  ignore
-    (Shard.advance ~barrier ~lookahead
-       ~run:(fun ~until -> Engine.run eng ~until)
-       ~flags:(fun () -> 0)
-       ~drain ~from:0 ~until_ ())
+  let t = ref 0 in
+  while !t < until_ do
+    let horizon = Sim_time.min until_ (!t + lookahead) in
+    Engine.run eng ~until:horizon;
+    drain ~upto:horizon;
+    t := horizon
+  done
 
 let run_windowed () =
   let eng = Engine.create () in
@@ -434,7 +435,7 @@ let run_windowed () =
   let idx = ref 0 in
   let drain ~upto =
     (* Everything due within the next window must be filed now; arrival
-       ticks are strictly beyond [upto], as interlink stamps are. *)
+       ticks are strictly beyond [upto]. *)
     while
       !idx < Array.length external_times
       && external_times.(!idx) <= upto + lookahead
@@ -519,7 +520,7 @@ let () =
           Alcotest.test_case "L1/L0 tie after cascade" `Quick test_cascade_tie;
           QCheck_alcotest.to_alcotest prop_wheel_model;
         ] );
-      ( "shard",
+      ( "runs",
         [
           Alcotest.test_case "serial == windowed" `Quick
             test_serial_eq_windowed;

@@ -99,12 +99,12 @@ let corpus =
        schemes=themis;flows=0>4:300000@0,1>5:300000@1000,2>6:300000@2000,\
        3>7:300000@3000,4>0:300000@4000,5>1:300000@5000,6>2:300000@6000,\
        7>3:300000@7000;faults=;sspine=0:20" );
-    (* A fabric link dies mid-flow on a 4-leaf fabric that a 2-shard
-       run cuts straight through (leaf 0 and spine 1 live on different
-       shards), with asymmetric host/fabric rates so serialization
-       grids never tie.  test_shard replays this exact spec serial vs
-       sharded and asserts outcome identity; freezing it here keeps
-       the serial behaviour pinned under every scheme it names. *)
+    (* The leaf 0 - spine 1 link dies mid-flow on a 4-leaf fabric
+       while cross-leaf flows are in flight, with asymmetric host/fabric
+       rates so serialization grids never tie: in-flight link-down drops
+       and the reroute after them, pinned under every scheme it names.
+       The name is kept from when a spatial cut of the fabric ran
+       through that link. *)
     ( "cross-shard link-down mid-flow, asymmetric rates",
       "fz1;seed=13;shape=ls:4:2:2:40:100:1000;tr=sr;qf=100;ppcap=9216;\
        jit=0;drop=0;corr=0;dup=0;dly=0:0;fmode=shrink;dl=2000000000;\
