@@ -1,8 +1,8 @@
 # Tooling entry points. `make check` is the CI gate: it must stay green
 # on every commit.
 
-.PHONY: all build test examples micro bench-engine bench-engine-smoke \
-        bench-fwd bench-fwd-smoke fuzz-quick \
+.PHONY: all build build-flags test examples micro bench-engine \
+        bench-engine-smoke bench-fwd bench-fwd-smoke fuzz-quick \
         fuzz-soak campaign-quick workload-smoke workload-bench arena \
         arena-smoke check clean profile
 
@@ -13,6 +13,25 @@ build:
 
 test:
 	dune runtest
+
+# The default build is optimised (dune-workspace, DESIGN.md §10).  Fail
+# if the per-hop library code is compiled -opaque again (the dev
+# profile), or if the dev warning set or -inline 200 went missing from
+# the root environment.
+ENGINE_CMX = _build/default/lib/engine/.themis_engine.objs/native/engine.cmx
+DEV_WARNINGS = -w @1..3@5..28@30..39@43@46..47@49..57@61..62-40 -strict-sequence -strict-formats -short-paths -keep-locs
+build-flags:
+	@rules="$$(dune rules $(ENGINE_CMX))" || exit 1; \
+	echo "$$rules" | grep -q ocamlopt || \
+	  { echo "build-flags: no ocamlopt rule for $(ENGINE_CMX)"; exit 1; }; \
+	if echo "$$rules" | grep -q -- -opaque; then \
+	  echo "build-flags: $(ENGINE_CMX) is compiled -opaque"; exit 1; fi; \
+	env="$$(dune printenv . | tr -s ' \n' '  ')" || exit 1; \
+	echo "$$env" | grep -qF -- '(flags ('"$(DEV_WARNINGS)"'))' || \
+	  { echo "build-flags: flags are not the dev warning set"; exit 1; }; \
+	echo "$$env" | grep -o 'ocamlopt_flags ([^)]*)' | grep -qF -- '-inline 200' || \
+	  { echo "build-flags: ocamlopt_flags lack -inline 200"; exit 1; }; \
+	echo "build-flags: OK"
 
 # Every example binary must build *and* run to completion: each is an
 # executable piece of documentation, and a demo that crashes is a bug.
@@ -32,6 +51,9 @@ micro:
 # short-flows; default incast) from a timer-signal PC sampler
 # (bench/prof_stubs.c), symbolized with nm; runs the library's own
 # runners.  It measures host time, so it is not part of `check`.
+# Under the optimised default build, inlined callees (Fifo, Packet.is_*,
+# Buffer_pool) are sampled inside their callers, so per-module shares
+# are not comparable with tables taken from an -opaque (dev) build.
 W ?= incast
 profile:
 	dune exec bench/profile.exe -- $(W)
@@ -111,7 +133,7 @@ workload-smoke:
 workload-bench:
 	dune exec bench/workload_bench.exe -- --out BENCH_workload.json
 
-check: build test examples micro bench-engine-smoke bench-fwd-smoke fuzz-quick campaign-quick workload-smoke arena-smoke
+check: build build-flags test examples micro bench-engine-smoke bench-fwd-smoke fuzz-quick campaign-quick workload-smoke arena-smoke
 	@echo "check: OK"
 
 clean:

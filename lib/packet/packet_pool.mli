@@ -12,9 +12,10 @@
     at tx/propagation events (port -> wire -> deliver target) and at
     delivery (wire -> RNIC/switch).  Whoever owns a packet when it dies
     releases it; the recycle points are the RNIC after dispatching a
-    delivered packet, port/switch drop paths, and the fuzz fault layer's
-    drop/corrupt faults.  After [release] the record must not be touched:
-    any field may be overwritten by the next constructor call.  Dropped
+    delivered packet, port/switch drop paths, NACKs that Themis-D blocks
+    at the switch, and the fuzz fault layer's drop/corrupt faults.  After
+    [release] the record must not be touched: any field may be
+    overwritten by the next constructor call.  Dropped
     packets that tests hold onto (delivered via raw capture hooks) are
     simply never released — unreleased packets are ordinary garbage.
 

@@ -332,6 +332,8 @@ let process t (pkt : Packet.t) =
             if Trace.enabled () then
               Trace.emitf ~time:(Engine.now t.engine) ~cat:"themis-d"
                 "tor%d blocked invalid %a" t.node Packet.pp pkt;
+            (* The NACK dies here and Themis-D kept no reference to it. *)
+            Packet_pool.release pkt;
             true
         | Themis_d.Forward ->
             if Trace.enabled () then

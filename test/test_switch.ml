@@ -228,6 +228,39 @@ let test_themis_d_blocks_nack_from_host () =
   (* Nothing came back out towards host 0. *)
   Alcotest.(check int) "sender saw nothing" 0 (List.length (host_rx h 0))
 
+(* A NACK that Themis-D blocks dies at the ToR and goes back to the
+   packet pool, so the next blocked NACK reuses its record instead of
+   allocating a fresh one. *)
+let test_blocked_nack_recycled () =
+  let h = build () in
+  let _, d, _ = themis_pair h ~compensation:false in
+  Switch.set_themis (tor1 h) ~s:None ~d:(Some d);
+  Packet_pool.reset ();
+  let conn_id = Flow_id.intern conn_04 in
+  let round () =
+    List.iter (fun p -> Switch.receive (tor1 h) (data p)) [ 0; 1; 3 ];
+    Engine.run h.engine;
+    let nack =
+      Packet_pool.nack ~conn:conn_04 ~conn_id ~sport:500 ~epsn:(Psn.of_int 2)
+        ~birth:0
+    in
+    Switch.receive (tor1 h) nack;
+    Engine.run h.engine;
+    nack
+  in
+  let first = round () in
+  Alcotest.(check int) "first nack blocked" 1
+    (Switch.nacks_intercept_blocked (tor1 h));
+  Alcotest.(check bool) "blocked nack back in the pool" true
+    first.Packet.pooled;
+  let _, fresh_before = Packet_pool.stats () in
+  ignore (round ());
+  Alcotest.(check int) "second nack blocked" 2
+    (Switch.nacks_intercept_blocked (tor1 h));
+  Alcotest.(check int) "no fresh allocation" fresh_before
+    (snd (Packet_pool.stats ()));
+  Alcotest.(check int) "sender saw nothing" 0 (List.length (host_rx h 0))
+
 let test_themis_d_forwards_valid_nack () =
   let h = build () in
   let _, d, _ = themis_pair h ~compensation:true in
@@ -347,6 +380,7 @@ let () =
         [
           Alcotest.test_case "spraying at source" `Quick test_themis_s_sprays_at_source_tor;
           Alcotest.test_case "nack blocked" `Quick test_themis_d_blocks_nack_from_host;
+          Alcotest.test_case "blocked nack recycled" `Quick test_blocked_nack_recycled;
           Alcotest.test_case "valid nack forwarded" `Quick test_themis_d_forwards_valid_nack;
           Alcotest.test_case "compensation" `Quick test_themis_compensation_injection;
           Alcotest.test_case "lb fallback" `Quick test_set_lb_fallback;
